@@ -23,6 +23,12 @@ cd "$(dirname "$0")/.."
 
 dune build @check
 dune build
+# Property tests draw their cases from QCHECK_SEED.  A fixed default
+# makes every run replayable; set QCHECK_SEED in the environment to
+# explore other seeds, and rerun a failure with the seed echoed here.
+QCHECK_SEED="${QCHECK_SEED:-424242}"
+export QCHECK_SEED
+echo "ci: QCHECK_SEED=$QCHECK_SEED"
 dune runtest
 dune build @serve
 dune build @chaos

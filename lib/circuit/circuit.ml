@@ -65,15 +65,20 @@ let map_qubits t f ~nqubits =
     (create nqubits) (gates t)
 
 let decompose_swaps t =
-  List.fold_left
-    (fun acc g ->
-      match (g.Gate.kind, g.Gate.qubits) with
-      | Gate.Swap, [ p; q ] ->
-        let acc = cnot acc ~control:p ~target:q in
-        let acc = cnot acc ~control:q ~target:p in
-        cnot acc ~control:p ~target:q
-      | _ -> add acc g.Gate.kind g.Gate.qubits)
-    (create t.nqubits) (gates t)
+  (* Ids are always sequential, so a SWAP-free circuit is its own
+     decomposition; sharing it keeps callers that retain schedules
+     from holding a second copy of every gate. *)
+  if not (List.exists (fun g -> g.Gate.kind = Gate.Swap) t.rev_gates) then t
+  else
+    List.fold_left
+      (fun acc g ->
+        match (g.Gate.kind, g.Gate.qubits) with
+        | Gate.Swap, [ p; q ] ->
+          let acc = cnot acc ~control:p ~target:q in
+          let acc = cnot acc ~control:q ~target:p in
+          cnot acc ~control:p ~target:q
+        | _ -> add acc g.Gate.kind g.Gate.qubits)
+      (create t.nqubits) (gates t)
 
 let depth t =
   let level = Array.make t.nqubits 0 in

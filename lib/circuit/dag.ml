@@ -16,25 +16,28 @@ let bit_or ~into src =
     Bytes.set into k (Char.chr (Char.code (Bytes.get into k) lor (Char.code (Bytes.get src k))))
   done
 
-let of_circuit circuit =
-  let gates = Array.of_list (Circuit.gates circuit) in
-  let n = Array.length gates in
-  let nq = Circuit.nqubits circuit in
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
-  let last_on_qubit = Array.make nq (-1) in
-  Array.iter
+let direct_preds circuit =
+  let preds = Array.make (Circuit.length circuit) [] in
+  let last_on_qubit = Array.make (Circuit.nqubits circuit) (-1) in
+  List.iter
     (fun g ->
-      let id = g.Gate.id in
       let direct =
         List.filter_map
           (fun q -> if last_on_qubit.(q) >= 0 then Some last_on_qubit.(q) else None)
           g.Gate.qubits
       in
-      let direct = List.sort_uniq compare direct in
-      preds.(id) <- direct;
-      List.iter (fun p -> succs.(p) <- id :: succs.(p)) direct;
-      List.iter (fun q -> last_on_qubit.(q) <- id) g.Gate.qubits)
+      preds.(g.Gate.id) <- List.sort_uniq compare direct;
+      List.iter (fun q -> last_on_qubit.(q) <- g.Gate.id) g.Gate.qubits)
+    (Circuit.gates circuit);
+  preds
+
+let of_circuit circuit =
+  let gates = Array.of_list (Circuit.gates circuit) in
+  let n = Array.length gates in
+  let preds = direct_preds circuit in
+  let succs = Array.make n [] in
+  Array.iter
+    (fun g -> List.iter (fun p -> succs.(p) <- g.Gate.id :: succs.(p)) preds.(g.Gate.id))
     gates;
   let words = (n + 7) / 8 in
   let ancestors = Array.init n (fun _ -> Bytes.make (max words 1) '\000') in

@@ -10,6 +10,11 @@ type t
 
 val of_circuit : Circuit.t -> t
 
+val direct_preds : Circuit.t -> int list array
+(** [direct_preds c] maps each gate id to its direct predecessors in
+    ascending id order (the last earlier gate on each of its qubits) —
+    {!preds} without building the ancestor sets. *)
+
 val circuit : t -> Circuit.t
 
 val gate : t -> int -> Gate.t

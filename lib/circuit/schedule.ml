@@ -1,6 +1,5 @@
 type t = {
   circuit : Circuit.t;
-  dag : Dag.t;
   starts : float array;
   durations : float array;
 }
@@ -14,7 +13,7 @@ let make circuit ~starts ~durations =
       if Gate.is_barrier g && durations.(g.Gate.id) <> 0.0 then
         invalid_arg "Schedule.make: barriers must have zero duration")
     (Circuit.gates circuit);
-  { circuit; dag = Dag.of_circuit circuit; starts; durations }
+  { circuit; starts; durations }
 
 let circuit t = t.circuit
 
@@ -64,6 +63,7 @@ let validate t =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   (* (a) dependencies *)
+  let preds = Dag.direct_preds t.circuit in
   List.iter
     (fun g ->
       let id = g.Gate.id in
@@ -71,7 +71,7 @@ let validate t =
         (fun p ->
           if t.starts.(id) +. 1e-9 < t.starts.(p) +. t.durations.(p) then
             note "gate %d starts before its dependency %d finishes" id p)
-        (Dag.preds t.dag id))
+        preds.(id))
     (Circuit.gates t.circuit);
   (* (b) qubit exclusivity *)
   let nq = Circuit.nqubits t.circuit in
@@ -118,13 +118,15 @@ let right_align t =
   in
   let deadline = if measure_start = infinity then makespan t else measure_start in
   let new_starts = Array.copy t.starts in
+  let succs = Array.make n [] in
+  Array.iteri
+    (fun id ps -> List.iter (fun p -> succs.(p) <- id :: succs.(p)) ps)
+    (Dag.direct_preds t.circuit);
+  let gates = Array.of_list (Circuit.gates t.circuit) in
   (* Reverse topological (= reverse program) order. *)
   for id = n - 1 downto 0 do
-    let g = Dag.gate t.dag id in
-    if not (Gate.is_measure g) then begin
-      let latest_finish =
-        List.fold_left (fun acc s -> min acc new_starts.(s)) deadline (Dag.succs t.dag id)
-      in
+    if not (Gate.is_measure gates.(id)) then begin
+      let latest_finish = List.fold_left (fun acc s -> min acc new_starts.(s)) deadline succs.(id) in
       new_starts.(id) <- latest_finish -. t.durations.(id)
     end
   done;

@@ -303,6 +303,119 @@ let step_plan sim rng plan ~on_measure =
       | _ -> ()
   end
 
+(* Pauli-frame sampling for Clifford plans whose noiseless readout is
+   deterministic (Gidney, "Stim", arXiv:2103.02202).  Every noise
+   channel here is a Pauli channel, so a noisy trajectory's state is
+   P|ref> for the noiseless reference state |ref> and a Pauli P that
+   the gates conjugate.  P is tracked as one X and one Z bitmask over
+   the compact qubits; a measured bit is the reference outcome flipped
+   by P's X component.  Ops are compiled once from one noiseless
+   tableau run of the plans; [frame_trajectory] then draws in exactly
+   the order of the tableau walk (a deterministic measurement draws
+   nothing), so counts are bit-identical. *)
+type frame_op =
+  | F_idle of int * Channel.idle  (** qubit mask, twirled idle channel *)
+  | F_h of int
+  | F_s of int  (** S and Sdg: both map X to +-Y *)
+  | F_cnot of int * int  (** control mask, target mask *)
+  | F_swap of int * int
+  | F_depol1 of int * float
+  | F_depol2 of int * int * float
+  | F_measure of { pos : int; mask : int; ideal : bool; ro : float }
+      (** output position, qubit mask, reference outcome, readout error *)
+
+(* The frame ops for [plans], or [None] when a measurement of the
+   noiseless run has a random outcome (the frame cannot sample it), or
+   the compact register is wider than an int.  Non-Clifford gates
+   raise from [apply_gate] exactly as the tableau walk would. *)
+let frame_program plans ~nused ~pos_of_cq ~ro_of_cq =
+  if nused > Sys.int_size then None
+  else begin
+    let tab = Tableau.create (max nused 1) in
+    let ops = ref [] in
+    let emit op = ops := op :: !ops in
+    let bit q = 1 lsl q in
+    let rec walk = function
+      | [] -> Some (Array.of_list (List.rev !ops))
+      | plan :: rest -> (
+        List.iter (fun (_, cq, idle) -> emit (F_idle (bit cq, idle))) plan.idles;
+        let qubits = plan.compact_qubits in
+        if Gate.is_measure plan.gate then begin
+          let q = List.hd qubits in
+          match Tableau.measure_deterministic_opt tab q with
+          | None -> None
+          | Some ideal ->
+            emit (F_measure { pos = pos_of_cq.(q); mask = bit q; ideal; ro = ro_of_cq.(q) });
+            walk rest
+        end
+        else begin
+          apply_gate (Tab tab) plan.gate.Gate.kind qubits;
+          (match (plan.gate.Gate.kind, qubits) with
+          | Gate.H, [ q ] -> emit (F_h (bit q))
+          | (Gate.S | Gate.Sdg), [ q ] -> emit (F_s (bit q))
+          | Gate.Cnot, [ c; t ] -> emit (F_cnot (bit c, bit t))
+          | Gate.Swap, [ a; b ] -> emit (F_swap (bit a, bit b))
+          | _ -> ());
+          (if plan.error_p > 0.0 then
+             match qubits with
+             | [ q ] -> emit (F_depol1 (bit q, plan.error_p))
+             | [ a; b ] -> emit (F_depol2 (bit a, bit b, plan.error_p))
+             | _ -> ());
+          walk rest
+        end)
+    in
+    walk plans
+  end
+
+let[@inline] x_part (p : Channel.pauli) m = match p with `X | `Y -> m | `Z -> 0
+let[@inline] z_part (p : Channel.pauli) m = match p with `Z | `Y -> m | `X -> 0
+let[@inline] opt_x p m = match p with Some p -> x_part p m | None -> 0
+let[@inline] opt_z p m = match p with Some p -> z_part p m | None -> 0
+
+(* Exchange the bits under masks [a] and [b] of [v]. *)
+let[@inline] swap_bits v a b = if (v land a = 0) = (v land b = 0) then v else v lxor (a lor b)
+
+let frame_trajectory ops ~nmeas rng =
+  let buf = Bytes.make nmeas '?' in
+  let x = ref 0 and z = ref 0 in
+  for i = 0 to Array.length ops - 1 do
+    match Array.unsafe_get ops i with
+    | F_idle (m, idle) -> (
+      match Channel.sample_idle rng idle with
+      | Some p ->
+        x := !x lxor x_part p m;
+        z := !z lxor z_part p m
+      | None -> ())
+    | F_h m ->
+      let xm = !x land m and zm = !z land m in
+      x := (!x lxor xm) lor zm;
+      z := (!z lxor zm) lor xm
+    | F_s m -> if !x land m <> 0 then z := !z lxor m
+    | F_cnot (c, t) ->
+      if !x land c <> 0 then x := !x lxor t;
+      if !z land t <> 0 then z := !z lxor c
+    | F_swap (a, b) ->
+      x := swap_bits !x a b;
+      z := swap_bits !z a b
+    | F_depol1 (m, p) -> (
+      match Channel.sample_depolarizing1 rng ~p with
+      | Some p ->
+        x := !x lxor x_part p m;
+        z := !z lxor z_part p m
+      | None -> ())
+    | F_depol2 (a, b, p) -> (
+      match Channel.sample_depolarizing2 rng ~p with
+      | Some (pa, pb) ->
+        x := !x lxor opt_x pa a lxor opt_x pb b;
+        z := !z lxor opt_z pa a lxor opt_z pb b
+      | None -> ())
+    | F_measure { pos; mask; ideal; ro } ->
+      let bit = ideal <> (!x land mask <> 0) in
+      let bit = if Rng.bernoulli rng ro then not bit else bit in
+      Bytes.unsafe_set buf pos (if bit then '1' else '0')
+  done;
+  Bytes.unsafe_to_string buf
+
 (* Compile the unitary part of a plan list into a flat op array for
    the statevector backend, with every dispatch decision (gate kind,
    operand lists, diagonal phases — including the trig for Rz/T) taken
@@ -544,26 +657,29 @@ let run ?(jobs = 1) ?(protection = []) device sched ~rng ~trials ~backend =
      simultaneous-sample path applies. *)
   let meas_specs = Array.of_list (List.map (fun hw -> (cq_of_hw hw, ro_err hw)) measured) in
   let nmeas = Array.length meas_specs in
+  let pos_of_cq = Array.make (max nused 1) (-1) in
+  Array.iteri (fun m (cq, _) -> pos_of_cq.(cq) <- m) meas_specs;
   (* Per-qubit measurement, for the stabilizer backend and for
-     statevector schedules where readout is not simultaneous. *)
+     statevector schedules where readout is not simultaneous.  Each
+     readout bit goes straight to its output position. *)
   let generic_trajectory sim rng =
-    let bits = Hashtbl.create 8 in
+    let buf = Bytes.make nmeas '?' in
     List.iter
       (fun plan ->
         step_plan sim rng plan ~on_measure:(fun plan ->
             let hw = List.hd plan.gate.Gate.qubits in
             let cqubit = List.hd plan.compact_qubits in
-            let bit = measure_sim sim rng cqubit in
-            Hashtbl.replace bits hw (readout_flip rng hw bit)))
+            let bit = readout_flip rng hw (measure_sim sim rng cqubit) in
+            Bytes.set buf pos_of_cq.(cqubit) (if bit then '1' else '0')))
       plans;
-    String.concat ""
-      (List.map
-         (fun q ->
-           match Hashtbl.find_opt bits q with
-           | Some true -> "1"
-           | Some false -> "0"
-           | None -> "?")
-         measured)
+    Bytes.unsafe_to_string buf
+  in
+  (* Stabilizer trajectories sample a Pauli frame against one noiseless
+     reference run whenever its readout is deterministic. *)
+  let frame =
+    if backend = Stabilizer && trials > 0 then
+      frame_program plans ~nused ~pos_of_cq ~ro_of_cq:(Array.of_list (List.map ro_err used))
+    else None
   in
   (* Simultaneous readout: run the compiled unitary part, then one
      full-register sample, flipped per qubit — no per-trial tables,
@@ -593,13 +709,16 @@ let run ?(jobs = 1) ?(protection = []) device sched ~rng ~trials ~backend =
         let scratch = State.create (max nused 1) in
         fun rng -> sampled_trajectory scratch rng)
       else
-        fun rng ->
-          let sim =
-            match backend with
-            | Stabilizer -> Tab (Tableau.create (max nused 1))
-            | Statevector -> Vec (State.create (max nused 1))
-          in
-          generic_trajectory sim rng
+        match frame with
+        | Some ops -> frame_trajectory ops ~nmeas
+        | None ->
+          fun rng ->
+            let sim =
+              match backend with
+              | Stabilizer -> Tab (Tableau.create (max nused 1))
+              | Statevector -> Vec (State.create (max nused 1))
+            in
+            generic_trajectory sim rng
     in
     for i = lo to hi - 1 do
       let bitstring = run_trajectory (Rng.split_nth base i) in

@@ -13,6 +13,21 @@
       decoherence on a qubit only starts at its first gate;
     - readout bit flips at measurement.
 
+    On the stabilizer backend, {!run} first walks the schedule once on
+    a noiseless tableau (the reference run).  When every measurement
+    of that run is deterministic — every RB/SRB and Hidden Shift
+    circuit — each trajectory tracks only a Pauli frame: an X and a Z
+    bitmask over the compact qubits that the Clifford gates conjugate
+    and the sampled Paulis flip, with each measured bit read as the
+    reference outcome flipped by the frame's X bit and then by the
+    readout error (Gidney, "Stim", arXiv:2103.02202).  Draws happen in
+    the same order as the tableau walk and deterministic measurements
+    draw nothing, so counts are bit-identical to it.  The full tableau
+    walk per trajectory remains for circuits with a random-outcome
+    measurement and for registers of more than [Sys.int_size] used
+    qubits; a non-Clifford gate raises from the reference run as it
+    would from the walk.
+
     This is the only module (together with test oracles) that reads
     [Device.ground_truth]. *)
 

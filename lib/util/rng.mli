@@ -4,7 +4,11 @@
     [Rng.t] so that experiments are reproducible run to run.  The
     implementation is SplitMix64 (Steele et al., OOPSLA 2014): a small
     state, a strong output mix, and a principled [split] operation that
-    derives statistically independent child streams. *)
+    derives statistically independent child streams.
+
+    The 64-bit state is held unboxed in an 8-byte buffer, so [int],
+    [bernoulli] and [bool] draws allocate nothing (a boxed [int64]
+    field would allocate on every draw). *)
 
 type t
 

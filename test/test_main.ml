@@ -7,6 +7,7 @@ let () =
     @ Test_device.suite
     @ Test_sim.suite
     @ Test_noise.suite
+    @ Test_golden.suite
     @ Test_density.suite
     @ Test_persist.suite
     @ Test_smt.suite
