@@ -173,11 +173,11 @@ FLEET_PIDS=""
 
 echo "ci: drift campaign (20 days, jobs 1/2/4)"
 dune exec bench/main.exe -- --drift-bench --days 20 --seed 7 \
-  --drift-dir "$SCRATCH/drift" --out BENCH_drift.json
+  --drift-dir "$SCRATCH/drift" --out "$SCRATCH/BENCH_drift.json"
 
 echo "ci: chaos campaign (20 seeds)"
 dune exec bench/main.exe -- --chaos-bench --seeds 20 --requests 60 --jobs 2 \
-  --chaos-dir "$SCRATCH/chaos" --out BENCH_chaos.json
+  --chaos-dir "$SCRATCH/chaos" --out "$SCRATCH/BENCH_chaos.json"
 
 echo "ci: scheduler-core smoke (fast vs legacy, --jobs 1 vs 4 determinism)"
 dune exec bench/main.exe -- --bench-sched --smoke --jobs 4 \

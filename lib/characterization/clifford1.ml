@@ -65,8 +65,3 @@ let inverse_word t =
     (match Hashtbl.find_opt table (Tableau.key ti) with
     | Some canonical -> canonical
     | None -> inv)
-
-let average_gates () =
-  let words = table_words () in
-  let total = Array.fold_left (fun acc w -> acc + List.length w) 0 words in
-  float_of_int total /. float_of_int (Array.length words)

@@ -23,6 +23,3 @@ val apply_word : Qcx_stabilizer.Tableau.t -> qubit:int -> word -> unit
 
 val inverse_word : Qcx_stabilizer.Tableau.t -> word
 (** For a 1-qubit tableau tracking the accumulated Clifford. *)
-
-val average_gates : unit -> float
-(** Mean word length over the group. *)

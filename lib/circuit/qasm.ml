@@ -27,20 +27,6 @@ let of_circuit c =
     (Circuit.gates c);
   Buffer.contents buf
 
-let of_schedule sched =
-  let c = Schedule.circuit sched in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (header (Circuit.nqubits c));
-  List.iter
-    (fun g ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-40s // t=%.0fns d=%.0fns\n" (gate_line g)
-           (Schedule.start sched g.Gate.id)
-           (Schedule.duration sched g.Gate.id)))
-    (Schedule.gates_by_start sched);
-  Buffer.contents buf
-
-
 (* ---- parsing ---- *)
 
 exception Parse_error of string

@@ -10,10 +10,6 @@
 val of_circuit : Circuit.t -> string
 (** Render a circuit as an OpenQASM 2.0 program. *)
 
-val of_schedule : Schedule.t -> string
-(** Render a schedule as OpenQASM with [// t=...ns] timing comments,
-    gates in start-time order. *)
-
 val parse : string -> (Circuit.t, string) result
 (** Parse an OpenQASM 2.0 program.  Supported statements: the version
     header, [include], one or more [qreg]/[creg] declarations (all

@@ -19,7 +19,6 @@ module Presets = Qcx_device.Presets
 module Drift = Qcx_device.Drift
 module Tableau = Qcx_stabilizer.Tableau
 module State = Qcx_statevector.State
-module Density = Qcx_densitymatrix.Density
 module Json = Qcx_persist.Json
 module Store = Qcx_persist.Store
 module Channel = Qcx_noise.Channel
@@ -32,7 +31,6 @@ module Rb = Qcx_characterization.Rb
 module Binpack = Qcx_characterization.Binpack
 module Policy = Qcx_characterization.Policy
 module Routing = Qcx_scheduler.Routing
-module Layout = Qcx_scheduler.Layout
 module Durations = Qcx_scheduler.Durations
 module Par_sched = Qcx_scheduler.Par_sched
 module Serial_sched = Qcx_scheduler.Serial_sched

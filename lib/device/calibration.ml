@@ -50,9 +50,3 @@ let with_qubit t q cal =
   let qubits = Array.copy t.qubits in
   qubits.(q) <- cal;
   { t with qubits }
-
-let average_cnot_error t =
-  let vals = List.map (fun (_, c) -> c.cnot_error) (EdgeMap.bindings t.gates) in
-  Qcx_util.Stats.mean vals
-
-let average_t1 t = Qcx_util.Stats.mean (Array.to_list (Array.map (fun q -> q.t1) t.qubits))

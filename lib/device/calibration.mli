@@ -39,6 +39,3 @@ val with_gate : t -> Topology.edge -> gate_cal -> t
 (** Functional update of one gate's calibration. *)
 
 val with_qubit : t -> int -> qubit_cal -> t
-
-val average_cnot_error : t -> float
-val average_t1 : t -> float

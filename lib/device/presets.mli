@@ -42,20 +42,16 @@ val grid : ?seed:int -> ?xtalk_pairs:int -> rows:int -> cols:int -> unit -> Devi
     scheduling beyond the 20-qubit IBMQ presets (the scale bench runs
     a 6x6 grid). *)
 
-val heavy_hex : ?seed:int -> ?xtalk_pairs:int -> cells:int -> rows:int -> unit -> Device.t
-(** A synthetic IBM-style heavy-hex lattice with [cells] hexagon
-    columns and [rows] bridge rows (width [4*cells + 3]; degree <= 3
-    everywhere), seeded random calibration, and [xtalk_pairs] random
-    1-hop high-crosstalk pairs (default: one per ~8 qubits).  The
-    default seed varies with the dimensions so different sizes get
-    independent calibrations. *)
-
 val heavy_hex_127 : unit -> Device.t
-(** [heavy_hex ~cells:3 ~rows:6 ()] — the 127-qubit Eagle-style map
-    (144 couplers), the scale bench's main device. *)
+(** A synthetic IBM-style heavy-hex lattice: the 127-qubit Eagle-style
+    map (3 hexagon columns, 6 bridge rows, 144 couplers, degree <= 3
+    everywhere), seeded random calibration, and one random 1-hop
+    high-crosstalk pair per ~8 qubits.  The scale bench's main
+    device. *)
 
 val heavy_hex_433 : unit -> Device.t
-(** [heavy_hex ~cells:6 ~rows:12 ()] — a 433-qubit Osprey-sized map. *)
+(** The same construction at 6 columns by 12 rows: a 433-qubit
+    Osprey-sized map with its own independently seeded calibration. *)
 
 val swap_endpoints : Device.t -> (int * int) list
 (** The SWAP-circuit qubit-pair endpoints evaluated in Figure 5 for

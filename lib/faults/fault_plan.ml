@@ -3,11 +3,6 @@ module Policy = Qcx_characterization.Policy
 
 type corruption = Nan_rate | Negative_rate | Huge_rate
 
-let corruption_name = function
-  | Nan_rate -> "nan"
-  | Negative_rate -> "negative"
-  | Huge_rate -> "huge"
-
 let rate_of_corruption = function
   | Nan_rate -> Float.nan
   | Negative_rate -> -0.25

@@ -12,12 +12,6 @@
 
 type corruption = Nan_rate | Negative_rate | Huge_rate
 
-val corruption_name : corruption -> string
-
-val rate_of_corruption : corruption -> float
-(** The non-physical rate each kind injects ([nan], negative, far
-    above 1) — all of which validation must reject. *)
-
 type file_fault = Truncate | Bitflip
 
 val file_fault_name : file_fault -> string

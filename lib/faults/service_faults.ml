@@ -3,11 +3,6 @@ module Service = Qcx_serve.Service
 
 type frame_fault = Torn | Garbage | Oversize
 
-let frame_fault_name = function
-  | Torn -> "torn"
-  | Garbage -> "garbage"
-  | Oversize -> "oversize"
-
 type config = {
   torn_frame : float;
   garbage_frame : float;

@@ -16,8 +16,6 @@ type frame_fault =
   | Garbage  (** token bytes bit-flipped *)
   | Oversize  (** padded past the server's frame bound *)
 
-val frame_fault_name : frame_fault -> string
-
 type config = {
   torn_frame : float;  (** per-request probability of a torn frame *)
   garbage_frame : float;  (** ... of bit-flip corruption *)
@@ -56,8 +54,6 @@ type t
 
 val create : ?config:config -> seed:int -> unit -> t
 val config : t -> config
-
-val frame_fault : t -> request:int -> frame_fault option
 
 val corrupt_frame :
   t -> request:int -> max_frame:int -> string -> string * frame_fault option

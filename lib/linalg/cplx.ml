@@ -9,7 +9,6 @@ let add = Complex.add
 let sub = Complex.sub
 let mul = Complex.mul
 let div = Complex.div
-let neg = Complex.neg
 let conj = Complex.conj
 let scale s z = { re = s *. z.re; im = s *. z.im }
 let norm2 z = (z.re *. z.re) +. (z.im *. z.im)

@@ -33,13 +33,6 @@ let u2 phi lam =
     (Cplx.scale inv_sqrt2 (Cplx.exp_i phi))
     (Cplx.scale inv_sqrt2 (Cplx.exp_i (phi +. lam)))
 
-let pauli_of_char = function
-  | 'I' -> id2
-  | 'X' -> x
-  | 'Y' -> y
-  | 'Z' -> z
-  | ch -> invalid_arg (Printf.sprintf "Gates.pauli_of_char: %c" ch)
-
 let cnot ~control ~target =
   if control = target || control > 1 || target > 1 || control < 0 || target < 0 then
     invalid_arg "Gates.cnot: bits must be 0 and 1";

@@ -23,9 +23,6 @@ val u2 : float -> float -> Mat.t
 (** IBM U2(phi, lambda) gate: a single-pulse rotation,
     [1/sqrt 2 [[1, -e^{i lam}], [e^{i phi}, e^{i (phi+lam)}]]]. *)
 
-val pauli_of_char : char -> Mat.t
-(** ['I' | 'X' | 'Y' | 'Z'] to matrix.  Raises on other characters. *)
-
 val cnot : control:int -> target:int -> Mat.t
 (** 4x4 CNOT where [control]/[target] are 0 or 1 (bit positions). *)
 

@@ -42,11 +42,6 @@ type result = {
           partner (beyond plain qubit availability) *)
 }
 
-val clusters_of : (int * int) list -> (int * int) list list
-(** Connected components of instances sharing a gate, sorted by
-    smallest member for a [jobs]-independent order.  Shared with
-    [Xtalk_sched]'s clustered rung. *)
-
 val solve_cluster_decisions :
   jobs:int ->
   engine:Qcx_smt.Solver.engine ->

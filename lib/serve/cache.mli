@@ -72,10 +72,6 @@ val entry_of_json : Qcx_persist.Json.t -> (entry, string) result
 
 val to_json : t -> Qcx_persist.Json.t
 
-val of_json : capacity:int -> Qcx_persist.Json.t -> (t, string) result
-(** Restore entries (recency preserved, counters zeroed).  Entries
-    beyond [capacity] are evicted oldest-first on load. *)
-
 val save : path:string -> t -> (unit, string) result
 (** Atomic write through the v2 store envelope. *)
 

@@ -20,13 +20,6 @@ type fault =
   | Crash_before_commit
   | Crash_after_commit
 
-let fault_name = function
-  | Drift_spike f -> Printf.sprintf "drift-spike(%g)" f
-  | Truncate_merge f -> Printf.sprintf "truncate-merge(%g)" f
-  | Canary_flake -> "canary-flake"
-  | Crash_before_commit -> "crash-before-commit"
-  | Crash_after_commit -> "crash-after-commit"
-
 type config = {
   threshold : float;
   rb_params : Rb.params;

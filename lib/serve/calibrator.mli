@@ -65,8 +65,6 @@ type fault =
       (** the process dies right after the ring-pointer commit, before
           the in-memory registry learns about it *)
 
-val fault_name : fault -> string
-
 type config = {
   threshold : float;  (** high-crosstalk flagging threshold (paper: 3) *)
   rb_params : Rb.params;  (** SRB scale for re-characterization *)
@@ -113,8 +111,6 @@ type canary_report = {
 }
 
 type crash_stage = Before_commit | After_commit
-
-val crash_stage_name : crash_stage -> string
 
 (** What one calibration cycle did. *)
 type action =
@@ -196,9 +192,3 @@ val recover : t -> recovered list
     without a pointer file, and unreadable/corrupt epoch snapshots,
     are skipped — the registry keeps whatever it was registered
     with. *)
-
-val canary_suite : Device.t -> Qcx_circuit.Circuit.t list
-(** The fixed canary circuits for a device: CNOT stress layers over a
-    maximal disjoint edge set plus SWAP transports between distant
-    qubit pairs — deterministic for a given device, exposed for tests
-    and the drift bench. *)

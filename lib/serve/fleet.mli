@@ -42,8 +42,6 @@ val canonical_state : t -> shard:int -> (string, string) result
     by cache key, so LRU recency (which is deliberately not
     replicated) cannot make equal contents compare unequal. *)
 
-val canonical_of_cache : Cache.t -> string
-
 val kill : t -> shard:int -> (string, string) result
 (** Crash the shard (no flush, no checkpoint), delete its snapshot and
     journal, and return the canonical state its own files would have

@@ -57,15 +57,40 @@ val set_fault : t -> (nth:int -> bool) option -> unit
 
 (* ---- replay ---- *)
 
-type replay = {
-  records : record list;  (** the valid prefix, in append order *)
+type 'a prefix = {
+  records : 'a list;  (** the valid prefix, in append order *)
   read : int;  (** lines successfully replayed *)
   dropped : int;  (** non-empty lines abandoned after the first bad one *)
   torn : bool;  (** replay stopped early at a damaged line *)
+  valid_bytes : int;  (** byte length of the valid prefix, newlines included *)
 }
+
+type replay = record prefix
 
 val replay : path:string -> replay
 (** Never raises; a missing file is an empty replay.  After a torn
     replay the caller must checkpoint (snapshot + {!reset}) before
     appending again, or new records would be glued onto the damaged
     tail and lost to the next replay. *)
+
+(* ---- the line codec and file plumbing, shared with {!Replica} ---- *)
+
+val seal : (string * Qcx_persist.Json.t) list -> Cache.entry -> string
+(** [seal header entry]: one compact line holding the [header] fields,
+    then the entry's fields, then the crc field (hex md5 of the line
+    rendered without it). *)
+
+val unseal : what:string -> string -> (Qcx_persist.Json.t, string) result
+(** Parse a sealed line and check its crc over the bytes as written;
+    [what] names the file kind in error messages. *)
+
+val read_prefix : path:string -> (string -> ('a, string) result) -> 'a prefix
+(** Decode the file's lines in order up to the first one [decode]
+    rejects.  A missing or unreadable file is an empty prefix. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte, looping over short writes; raises
+    [Unix.Unix_error]. *)
+
+val close_fd : Unix.file_descr option -> unit
+(** Close, ignoring errors. *)

@@ -23,31 +23,18 @@ type fault = Partition | Slow_ack of float
 
 (* ---- line codec ---- *)
 
-let payload_json ~shard ~seq (r : Journal.record) =
-  match Cache.entry_to_json r.Journal.entry with
-  | Json.Object fields ->
-    Json.Object
-      (("op", Json.String "rep")
-      :: ("shard", Json.Number (float_of_int shard))
-      :: ("seq", Json.Number (float_of_int seq))
-      :: ("key", Json.String r.Journal.key)
-      :: fields)
-  | other -> other
-
-let payload_digest payload = Digest.to_hex (Digest.string (Json.to_string ~indent:false payload))
-
-let line_of_record ~shard ~seq record =
-  let payload = payload_json ~shard ~seq record in
-  let crc = payload_digest payload in
-  let doc =
-    match payload with
-    | Json.Object fields -> Json.Object (fields @ [ ("crc", Json.String crc) ])
-    | other -> other
-  in
-  Json.to_string ~indent:false doc
+let line_of_record ~shard ~seq (r : Journal.record) =
+  Journal.seal
+    [
+      ("op", Json.String "rep");
+      ("shard", Json.Number (float_of_int shard));
+      ("seq", Json.Number (float_of_int seq));
+      ("key", Json.String r.Journal.key);
+    ]
+    r.Journal.entry
 
 let record_of_line line =
-  let* doc = Json.of_string line in
+  let* doc = Journal.unseal ~what:"replica" line in
   let* op = Json.find_str "op" doc in
   if op <> "rep" then Error ("unknown replica op " ^ op)
   else
@@ -57,65 +44,28 @@ let record_of_line line =
     let* seq =
       match Json.member "seq" doc with Some v -> Json.to_int v | None -> Error "missing seq"
     in
-    let* crc = Json.find_str "crc" doc in
     let* key = Json.find_str "key" doc in
     let* entry = Cache.entry_of_json doc in
-    (* Digest over the bytes as written (see Journal.record_of_line for
-       why a parse/re-emit round trip would canonicalize damage). *)
-    let suffix = ",\"crc\": \"" ^ crc ^ "\"}" in
-    let n = String.length line and k = String.length suffix in
-    if n < k || String.sub line (n - k) k <> suffix then Error "replica crc field malformed"
-    else
-      let payload_text = String.sub line 0 (n - k) ^ "}" in
-      if String.lowercase_ascii crc = Digest.to_hex (Digest.string payload_text) then
-        Ok (shard, seq, { Journal.key; entry })
-      else Error "replica crc mismatch"
+    Ok (shard, seq, { Journal.key; entry })
 
 (* ---- replay ---- *)
 
-type replay = {
-  records : (int * Journal.record) list;  (* (seq, record), valid prefix *)
-  read : int;
-  dropped : int;
-  torn : bool;
-  valid_bytes : int;  (* byte length of the valid prefix (incl. newlines) *)
-}
+type replay = (int * Journal.record) Journal.prefix
 
+(* Valid-prefix semantics, like the journal, with two extra checks:
+   the shard tag must match and sequence numbers must be strictly
+   increasing — a spliced or reordered file stops the replay at the
+   first inconsistent line. *)
 let replay ~path ~shard =
-  if not (Sys.file_exists path) then
-    { records = []; read = 0; dropped = 0; torn = false; valid_bytes = 0 }
-  else begin
-    let text =
-      try
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with _ -> ""
-    in
-    let lines = String.split_on_char '\n' text in
-    (* Valid-prefix semantics, like the journal, with two extra checks:
-       the shard tag must match and sequence numbers must be strictly
-       increasing — a spliced or reordered file stops the replay at
-       the first inconsistent line. *)
-    let rec walk acc read bytes last_seq = function
-      | [] | [ "" ] -> { records = List.rev acc; read; dropped = 0; torn = false; valid_bytes = bytes }
-      | line :: rest -> (
-        let checked =
-          let* s, seq, r = record_of_line line in
-          if s <> shard then Error "replica shard tag mismatch"
-          else if seq <= last_seq then Error "replica sequence regressed"
-          else Ok (seq, r)
-        in
-        match checked with
-        | Ok (seq, r) ->
-          walk ((seq, r) :: acc) (read + 1) (bytes + String.length line + 1) seq rest
-        | Error _ ->
-          let remaining = List.length (List.filter (fun l -> l <> "") (line :: rest)) in
-          { records = List.rev acc; read; dropped = remaining; torn = true; valid_bytes = bytes })
-    in
-    walk [] 0 0 (-1) lines
-  end
+  let last_seq = ref (-1) in
+  Journal.read_prefix ~path (fun line ->
+      let* s, seq, r = record_of_line line in
+      if s <> shard then Error "replica shard tag mismatch"
+      else if seq <= !last_seq then Error "replica sequence regressed"
+      else begin
+        last_seq := seq;
+        Ok (seq, r)
+      end)
 
 (* ---- sender ---- *)
 
@@ -138,13 +88,6 @@ type sender = {
   mutable fault : (nth:int -> fault option) option;
 }
 
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd bytes !off (len - !off)
-  done
-
 let open_sender ~path ~shard ?(fsync = true) ?(batch = 1) () =
   if batch <= 0 then invalid_arg "Replica.open_sender: batch must be positive";
   let rep = replay ~path ~shard in
@@ -153,10 +96,10 @@ let open_sender ~path ~shard ?(fsync = true) ?(batch = 1) () =
     (* A torn tail (the previous sender died mid-write) must be cut
        before appending, or the new stream lands after poison and the
        whole suffix is lost to valid-prefix replay. *)
-    Unix.ftruncate fd rep.valid_bytes;
-    ignore (Unix.lseek fd rep.valid_bytes Unix.SEEK_SET);
+    Unix.ftruncate fd rep.Journal.valid_bytes;
+    ignore (Unix.lseek fd rep.Journal.valid_bytes Unix.SEEK_SET);
     let next_seq =
-      match List.rev rep.records with (seq, _) :: _ -> seq + 1 | [] -> 0
+      match List.rev rep.Journal.records with (seq, _) :: _ -> seq + 1 | [] -> 0
     in
     Ok
       {
@@ -182,7 +125,6 @@ let open_sender ~path ~shard ?(fsync = true) ?(batch = 1) () =
 
 let path s = s.path
 let lag s = (List.length s.pending, s.pending_bytes)
-let peak_lag s = (s.peak_lag_entries, s.peak_lag_bytes)
 let appended s = s.appended
 let acked s = s.acked
 let failed_flushes s = s.failed_flushes
@@ -207,9 +149,7 @@ let flush s =
       | None -> Error "replica sender is closed"
       | Some fd -> (
         try
-          List.iter
-            (fun line -> write_all fd (Bytes.of_string (line ^ "\n")))
-            (List.rev s.pending);
+          Journal.write_all fd (String.concat "" (List.rev_map (fun line -> line ^ "\n") s.pending));
           if s.fsync then Unix.fsync fd;
           (* The ack: bytes written and durable.  Only now does the
              batch leave the lag counter. *)
@@ -237,11 +177,8 @@ let append s record =
   if List.length s.pending >= s.batch then ignore (flush s)
 
 let close s =
-  match s.fd with
-  | None -> ()
-  | Some fd ->
-    s.fd <- None;
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+  Journal.close_fd s.fd;
+  s.fd <- None
 
 let to_json s =
   let lag_entries, lag_bytes = lag s in

@@ -40,13 +40,6 @@ val lag : sender -> int * int
 (** Replication lag as [(entries, bytes)] — appended but not yet
     acknowledged. *)
 
-val peak_lag : sender -> int * int
-(** High-water marks of {!lag} over the sender's lifetime — under
-    pipelined load the instantaneous lag is usually 0 by the time
-    [health] samples it, while the peak shows how deep the bursts ran
-    (also surfaced as [peak_lag_entries]/[peak_lag_bytes] in
-    {!to_json}). *)
-
 val path : sender -> string
 val appended : sender -> int
 val acked : sender -> int
@@ -63,13 +56,8 @@ val close : sender -> unit
 (** Close the file descriptor without flushing (kill -9 semantics are
     the caller's choice: call {!flush} first for a graceful close). *)
 
-type replay = {
-  records : (int * Journal.record) list;  (** (seq, record), valid prefix *)
-  read : int;
-  dropped : int;  (** lines abandoned after the first damaged one *)
-  torn : bool;
-  valid_bytes : int;  (** byte length of the valid prefix *)
-}
+type replay = (int * Journal.record) Journal.prefix
+(** Records are [(seq, record)] pairs. *)
 
 val replay : path:string -> shard:int -> replay
 (** Valid-prefix replay of a replica file: stops at the first line

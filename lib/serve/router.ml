@@ -57,10 +57,6 @@ let default_config =
     breaker = { Breaker.default_config with Breaker.threshold = 1; cooloff_seconds = 0.5 };
   }
 
-type shard_state = Live | Degraded | Rebuilding
-
-let state_name = function Live -> "live" | Degraded -> "degraded" | Rebuilding -> "rebuilding"
-
 type t = {
   config : config;
   nshards : int;
@@ -109,8 +105,8 @@ let breaker t s = t.breakers.(s)
 let routable t s = not t.rebuilding.(s)
 
 let shard_state t s =
-  if t.rebuilding.(s) then Rebuilding
-  else match Breaker.state t.breakers.(s) with Breaker.Closed -> Live | _ -> Degraded
+  if t.rebuilding.(s) then "rebuilding"
+  else match Breaker.state t.breakers.(s) with Breaker.Closed -> "live" | _ -> "degraded"
 
 let set_rebuilding t s v = t.rebuilding.(s) <- v
 let reset_breaker t s = t.breakers.(s) <- Breaker.create t.config.breaker
@@ -135,11 +131,7 @@ let knob_string (p : Wire.params) =
 
 let routing_key t ~device ~params circuit =
   let canon =
-    match
-      match t.width device with
-      | Some n -> Canon.serialize (Canon.normalize ~nqubits:n circuit)
-      | None -> Canon.serialize (Canon.normalize circuit)
-    with
+    match Canon.key_serialize ?nqubits:(t.width device) circuit with
     | s -> s
     | exception Invalid_argument _ -> "invalid-circuit"
   in
@@ -413,7 +405,7 @@ let aggregate t ~id ~field =
     Json.Object
       [
         ("shard", Json.Number (float_of_int s));
-        ("state", Json.String (state_name (shard_state t s)));
+        ("state", Json.String (shard_state t s));
         ("reachable", Json.Bool reachable);
         ("breaker", Breaker.to_json t.breakers.(s));
         (field, payload);
@@ -441,39 +433,18 @@ type slot =
   | Compile_slot of { id : string; line : string; key : string; deadline : float option }
   | Cast of { line : string; req : Wire.request }
 
-let classify t ~max_frame frame =
-  match frame with
-  | Server.Oversize -> Direct (render (Wire.frame_too_large_response ~id:None ~limit:max_frame))
-  | Server.Line line -> (
-    if String.length line > max_frame then
-      Direct (render (Wire.frame_too_large_response ~id:None ~limit:max_frame))
-    else
-      match Json.of_string line with
-      | Error e -> Direct (render (Wire.error_response ~id:None ("bad JSON: " ^ e)))
-      | Ok doc -> (
-        match Wire.request_of_json doc with
-        | Error e -> Direct (render (Wire.error_response ~id:None e))
-        | Ok req -> (
-          match req with
-          | Wire.Compile { id; device; circuit; params } ->
-            Compile_slot { id; line; key = routing_key t ~device ~params circuit;
-                           deadline = params.Wire.deadline }
-          | Wire.Ping { id } ->
-            Direct
-              (render
-                 (Json.Object
-                    [
-                      ("id", Json.String id);
-                      ("status", Json.String "ok");
-                      ("pong", Json.Bool true);
-                    ]))
-          | req -> Cast { line; req })))
+let classify t = function
+  | Error reply -> Direct reply
+  | Ok (line, Wire.Compile { id; device; circuit; params }) ->
+    Compile_slot { id; line; key = routing_key t ~device ~params circuit; deadline = params.Wire.deadline }
+  | Ok (_, Wire.Ping { id }) ->
+    Direct
+      (render
+         (Json.Object [ ("id", Json.String id); ("status", Json.String "ok"); ("pong", Json.Bool true) ]))
+  | Ok (line, req) -> Cast { line; req }
 
-let handle_frames ?(max_frame = Wire.default_max_frame) t frames =
-  let frames =
-    List.filter (function Server.Line l -> String.trim l <> "" | Server.Oversize -> true) frames
-  in
-  let slots = Array.of_list (List.map (classify t ~max_frame) frames) in
+let handle_frames ?max_frame t frames =
+  let slots = Array.of_list (List.map (classify t) (Server.parse_frames ?max_frame frames)) in
   let results = Array.make (Array.length slots) None in
   Array.iteri (fun i -> function Direct line -> results.(i) <- Some line | _ -> ()) slots;
   (* Compiles first (one routed batch), then the fan-out ops in frame

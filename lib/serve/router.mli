@@ -54,10 +54,6 @@ val default_config : config
 (** vnodes 64, backoff 20 ms, budget 5 s, breaker threshold 1 /
     cooloff 0.5 s. *)
 
-type shard_state = Live | Degraded | Rebuilding
-
-val state_name : shard_state -> string
-
 type t
 
 val create :
@@ -75,18 +71,12 @@ val create :
 val nshards : t -> int
 val ring : t -> Ring.t
 val breaker : t -> int -> Breaker.t
-val shard_state : t -> int -> shard_state
-val routable : t -> int -> bool
 
 val set_rebuilding : t -> int -> bool -> unit
 (** While true the shard is off the ring (not routable). *)
 
 val reset_breaker : t -> int -> unit
 (** Fresh closed breaker — call when a rebuilt shard rejoins. *)
-
-val routing_key : t -> device:string -> params:Wire.params -> Qcx_circuit.Circuit.t -> string
-(** Pure function of (device, knobs, canonical circuit) — excludes the
-    epoch and the deadline, so equal cache keys always route alike. *)
 
 val handle_frames : ?max_frame:int -> t -> Server.frame list -> string list * bool
 (** The router's batch handler — same contract as

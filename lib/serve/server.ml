@@ -4,26 +4,26 @@ module Json = Qcx_persist.Json
    oversized one was discarded (its bytes are never kept). *)
 type frame = Line of string | Oversize
 
-let handle_frames ?(max_frame = Wire.default_max_frame) service frames =
-  let frames =
-    List.filter (function Line l -> String.trim l <> "" | Oversize -> true) frames
-  in
-  let parsed =
-    List.map
-      (function
-        | Oversize -> `Oversize
-        | Line line -> (
-          if String.length line > max_frame then `Oversize
-          else
-            match Json.of_string line with
-            | Error e -> `Bad ("bad JSON: " ^ e)
-            | Ok doc -> (
-              match Wire.request_of_json doc with
-              | Error e -> `Bad e
-              | Ok req -> `Req req)))
-      frames
-  in
-  let requests = List.filter_map (function `Req r -> Some r | _ -> None) parsed in
+let parse_frames ?(max_frame = Wire.default_max_frame) frames =
+  let reply doc = Some (Error (Json.to_string ~indent:false doc)) in
+  List.filter_map
+    (function
+      | Line line when String.trim line = "" -> None
+      | Oversize -> reply (Wire.frame_too_large_response ~id:None ~limit:max_frame)
+      | Line line when String.length line > max_frame ->
+        reply (Wire.frame_too_large_response ~id:None ~limit:max_frame)
+      | Line line -> (
+        match Json.of_string line with
+        | Error e -> reply (Wire.error_response ~id:None ("bad JSON: " ^ e))
+        | Ok doc -> (
+          match Wire.request_of_json doc with
+          | Error e -> reply (Wire.error_response ~id:None e)
+          | Ok req -> Some (Ok (line, req)))))
+    frames
+
+let handle_frames ?max_frame service frames =
+  let parsed = parse_frames ?max_frame frames in
+  let requests = List.filter_map (function Ok (_, r) -> Some r | Error _ -> None) parsed in
   let responses =
     (* Last-resort guard: a panic anywhere in the service layer
        degrades to typed per-request errors, never a dropped batch. *)
@@ -40,12 +40,9 @@ let handle_frames ?(max_frame = Wire.default_max_frame) service frames =
   let responses = ref responses in
   let out =
     List.map
-      (fun item ->
-        match item with
-        | `Oversize ->
-          Json.to_string ~indent:false (Wire.frame_too_large_response ~id:None ~limit:max_frame)
-        | `Bad e -> Json.to_string ~indent:false (Wire.error_response ~id:None e)
-        | `Req _ -> (
+      (function
+        | Error reply -> reply
+        | Ok _ -> (
           match !responses with
           | r :: rest ->
             responses := rest;
@@ -55,7 +52,7 @@ let handle_frames ?(max_frame = Wire.default_max_frame) service frames =
               (Wire.internal_error_response ~id:None "internal: missing response")))
       parsed
   in
-  let stop = List.exists (function `Req (Wire.Shutdown _) -> true | _ -> false) parsed in
+  let stop = List.exists (function Ok (_, Wire.Shutdown _) -> true | _ -> false) parsed in
   (out, stop)
 
 let handle_lines ?max_frame service lines =

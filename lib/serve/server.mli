@@ -39,6 +39,13 @@ type frame =
   | Line of string
   | Oversize  (** an input line exceeded the frame bound; bytes dropped *)
 
+val parse_frames : ?max_frame:int -> frame list -> (string * Wire.request, string) result list
+(** The parsing half of {!handle_frames}, shared with the fleet
+    router: blank lines are dropped, and every other frame becomes
+    [Ok (line, request)] or [Error reply] — the rendered typed error
+    line for an oversized frame ([max_frame], default
+    {!Wire.default_max_frame}), bad JSON, or an invalid request. *)
+
 val handle_frames : ?max_frame:int -> Service.t -> frame list -> string list * bool
 (** Parse frames, serve them as one batch, and render the response
     lines.  The flag is [true] when the batch contained a [shutdown]

@@ -185,7 +185,6 @@ let purge_stale t =
 let set_draining t flag = t.draining <- flag
 let draining t = t.draining
 let note_panic t = t.panics <- t.panics + 1
-let panics t = t.panics
 
 let breaker_for t device =
   match Hashtbl.find_opt t.breakers device with

@@ -133,8 +133,6 @@ val note_panic : t -> unit
 (** Called by the server's crash-recovery wrapper when a connection
     handler dies; surfaces in stats/health. *)
 
-val panics : t -> int
-
 val set_compile_fault : t -> (nth:int -> compile_fault option) option -> unit
 (** Chaos hook: consulted once per cold-compile attempt with a
     monotone attempt index ([nth]), independent of [jobs]. *)

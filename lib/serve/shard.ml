@@ -83,9 +83,9 @@ let create ?(config = Service.default_config) ?clock ?(fsync = true) ?(replica_b
         let rep = Replica.replay ~path:rpath ~shard:index in
         List.iter
           (fun (_seq, { Journal.key; entry }) -> Cache.add (Service.cache service) key entry)
-          rep.Replica.records;
-        if rep.Replica.records <> [] then ignore (Service.checkpoint service);
-        (rep.Replica.read, rep.Replica.torn)
+          rep.Journal.records;
+        if rep.Journal.records <> [] then ignore (Service.checkpoint service);
+        (rep.Journal.read, rep.Journal.torn)
       end
       else (0, false)
     in
@@ -114,7 +114,6 @@ let service t = t.service
 let replica t = t.replica
 let boot t = t.boot
 let dir t = shard_dir ~root:t.root t.index
-let own_cache_file t = cache_file ~root:t.root t.index
 let own_replica_path t = replica_path ~root:t.root ~nshards:t.nshards t.index
 
 let close t =

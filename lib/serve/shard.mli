@@ -48,7 +48,6 @@ val replica : t -> Replica.sender
 val boot : t -> boot
 
 val dir : t -> string
-val own_cache_file : t -> string
 val own_replica_path : t -> string
 (** Where this shard's history lives in the PEER's directory — the
     file {!create} rebuilds from after a total local loss. *)
@@ -56,7 +55,6 @@ val own_replica_path : t -> string
 val peer : nshards:int -> int -> int
 (** Ring successor [(k + 1) mod nshards] — the replication target. *)
 
-val shard_dir : root:string -> int -> string
 val cache_file : root:string -> int -> string
 val replica_path : root:string -> nshards:int -> int -> string
 

@@ -19,11 +19,6 @@ module Xtalk_sched = Qcx_scheduler.Xtalk_sched
 module Dd = Qcx_mitigation.Dd
 module Json = Qcx_persist.Json
 
-val circuit_to_json : Circuit.t -> Json.t
-
-val circuit_of_json : Json.t -> (Circuit.t, string) result
-(** Validates arity, qubit ranges, and gate names — never raises. *)
-
 val schedule_to_json : Schedule.t -> Json.t
 
 val schedule_of_json : Json.t -> (Schedule.t, string) result
@@ -137,10 +132,6 @@ val unavailable_response : id:string option -> attempts:int -> Json.t
 val line_id : string -> string option
 (** The [id] field of a wire line, when it parses to an object with a
     string id — the router's demux key for pipelined forwarding. *)
-
-val with_id : Json.t -> id:string -> Json.t
-(** Replace the document's [id] field in place (field order is
-    preserved; an absent id is prepended). *)
 
 val retag_line : string -> id:string -> string
 (** Re-render [line] with its [id] replaced — total: a line that does

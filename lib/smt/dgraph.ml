@@ -33,10 +33,6 @@ let new_var t name =
 
 let nvars t = t.nvars
 
-let var_name t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Dgraph.var_name: bad variable";
-  t.names.(v)
-
 let add_edge t ~src ~dst ~weight =
   if src < 0 || src >= t.nvars || dst < 0 || dst >= t.nvars then
     invalid_arg "Dgraph.add_edge: bad variable";

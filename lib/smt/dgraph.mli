@@ -16,7 +16,6 @@ val new_var : t -> string -> int
 (** Returns the variable index.  The name is kept for diagnostics. *)
 
 val nvars : t -> int
-val var_name : t -> int -> string
 
 val add_edge : t -> src:int -> dst:int -> weight:float -> unit
 (** Add constraint [x_dst >= x_src + weight]. *)

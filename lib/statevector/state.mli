@@ -65,9 +65,6 @@ val rz : t -> float -> int -> unit
 
 val apply_pauli : t -> [ `X | `Y | `Z ] -> int -> unit
 
-val prob_one : t -> int -> float
-(** Probability that measuring [q] yields 1. *)
-
 val measure : t -> Qcx_util.Rng.t -> int -> bool
 (** Projective measurement of one qubit; renormalizes. *)
 
@@ -78,7 +75,6 @@ val sample : t -> Qcx_util.Rng.t -> int
 val norm : t -> float
 (** Should be 1 up to float error; exposed for tests. *)
 
-val inner_product : t -> t -> Qcx_linalg.Cplx.t
 val fidelity : t -> t -> float
 (** |<a|b>|^2. *)
 

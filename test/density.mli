@@ -1,11 +1,11 @@
 (** Density-matrix simulator: exact (non-sampled) evolution of open
-    quantum systems under unitaries and Kraus channels.
+    quantum systems under unitaries and Kraus channels — the test
+    suite's reference oracle.
 
-    Complements the two pure-state backends: where [Qcx_noise.Exec]
-    averages Monte-Carlo Pauli-insertion trajectories, this simulator
-    applies the corresponding channels exactly, so trajectory averages
-    can be validated against closed-form evolution (see
-    test/test_density.ml).  Memory is 4^n complex entries — intended
+    Where [Qcx_noise.Exec] averages Monte-Carlo Pauli-insertion
+    trajectories, this simulator applies the corresponding channels
+    exactly, so trajectory averages can be validated against
+    closed-form evolution (see test_density.ml).  Memory is 4^n complex entries — intended
     for the 2-6 qubit subsystems the validation and tomography tests
     care about, not for full devices. *)
 

@@ -2,7 +2,6 @@
    of the Monte-Carlo noise engine's channels: trajectory averages must
    converge to the closed-form channel evolution. *)
 
-module Density = Core.Density
 module State = Core.State
 module Gates = Core.Gates
 module Cplx = Core.Cplx

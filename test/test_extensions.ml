@@ -154,65 +154,3 @@ let suite =
         Alcotest.test_case "noop without flags" `Quick refresh_noop_without_flags;
       ] );
   ]
-
-(* ---- noise-adaptive layout ---- *)
-
-let layout_best_line_avoids_crosstalk () =
-  let best = Core.Layout.best_line pough ~xtalk:truth ~length:4 () in
-  let worst = Core.Layout.worst_line pough ~xtalk:truth ~length:4 () in
-  Alcotest.(check bool) "best scores below worst" true
-    (Core.Layout.score_line pough ~xtalk:truth best
-    < Core.Layout.score_line pough ~xtalk:truth worst);
-  (* the known crosstalk-prone region must score worse than the best *)
-  Alcotest.(check bool) "prone region beaten" true
-    (Core.Layout.score_line pough ~xtalk:truth best
-    < Core.Layout.score_line pough ~xtalk:truth [ 15; 10; 11; 12 ])
-
-let layout_lines_are_connected () =
-  let line = Core.Layout.best_line pough ~xtalk:truth ~length:5 () in
-  Alcotest.(check int) "five qubits" 5 (List.length line);
-  let topo = Device.topology pough in
-  let rec ok = function
-    | a :: (b :: _ as rest) -> Core.Topology.has_edge topo (a, b) && ok rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "connected" true (ok line)
-
-let layout_place_maps_circuit () =
-  let logical = Circuit.cnot (Circuit.h (Circuit.create 2) 0) ~control:0 ~target:1 in
-  let region = Core.Layout.best_line pough ~xtalk:truth ~length:2 () in
-  let placed = Core.Layout.place logical ~region ~nqubits:20 in
-  Alcotest.(check (list int)) "uses region qubits" (List.sort compare region)
-    (Circuit.used_qubits placed)
-
-let layout_better_region_better_qaoa () =
-  (* QAOA on the best-scoring line vs the paper's crosstalk-prone
-     region: the adaptive layout must achieve a lower cross-entropy
-     loss under the plain parallel scheduler. *)
-  let rng = Rng.create 93 in
-  let run region =
-    let qaoa = Core.Qaoa.build pough ~rng:(Core.Rng.create 5) ~region in
-    let sched = Core.Par_sched.schedule pough qaoa.Core.Qaoa.circuit in
-    let measured = Core.Exec.run_distribution pough sched ~rng ~trajectories:300 in
-    let ideal_state, _ = Core.Exec.run_ideal qaoa.Core.Qaoa.circuit in
-    let ideal = Core.State.probabilities ideal_state in
-    Core.Cross_entropy.loss
-      ~ideal_entropy:(Core.Cross_entropy.entropy ideal)
-      (Core.Cross_entropy.against_ideal ~ideal ~measured)
-  in
-  let good = run (Core.Layout.best_line pough ~xtalk:truth ~length:4 ()) in
-  let prone = run [ 15; 10; 11; 12 ] in
-  Alcotest.(check bool)
-    (Printf.sprintf "best region loss %.3f < prone region loss %.3f" good prone)
-    true (good < prone)
-
-let layout_suite =
-  ( "extensions.layout",
-    [
-      Alcotest.test_case "avoids crosstalk regions" `Quick layout_best_line_avoids_crosstalk;
-      Alcotest.test_case "lines connected" `Quick layout_lines_are_connected;
-      Alcotest.test_case "place maps circuit" `Quick layout_place_maps_circuit;
-      Alcotest.test_case "better region, better qaoa" `Slow layout_better_region_better_qaoa;
-    ] )
-
-let suite = suite @ [ layout_suite ]

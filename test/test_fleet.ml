@@ -122,10 +122,10 @@ let replica_roundtrip_and_continuation () =
     Alcotest.(check (pair int int)) "no lag after flush" (0, 0) (Replica.lag sender);
     Replica.close sender);
   let r = Replica.replay ~path ~shard:0 in
-  Alcotest.(check int) "three records replayed" 3 (List.length r.Replica.records);
-  Alcotest.(check bool) "not torn" false r.Replica.torn;
+  Alcotest.(check int) "three records replayed" 3 (List.length r.Journal.records);
+  Alcotest.(check bool) "not torn" false r.Journal.torn;
   Alcotest.(check (list int)) "sequence 0..2" [ 0; 1; 2 ]
-    (List.map fst r.Replica.records);
+    (List.map fst r.Journal.records);
   (* a reopened sender continues the stream, it does not restart it *)
   (match Replica.open_sender ~path ~shard:0 () with
   | Error e -> Alcotest.fail e
@@ -135,11 +135,11 @@ let replica_roundtrip_and_continuation () =
     Replica.close sender);
   let r = Replica.replay ~path ~shard:0 in
   Alcotest.(check (list int)) "sequence continues 0..3" [ 0; 1; 2; 3 ]
-    (List.map fst r.Replica.records);
+    (List.map fst r.Journal.records);
   (* a replica file cannot be replayed into the wrong shard *)
   let wrong = Replica.replay ~path ~shard:1 in
   Alcotest.(check int) "wrong shard tag replays nothing" 0
-    (List.length wrong.Replica.records);
+    (List.length wrong.Journal.records);
   Sys.remove path
 
 let replica_torn_tail () =
@@ -154,13 +154,13 @@ let replica_torn_tail () =
     Replica.close sender);
   let intact = Replica.replay ~path ~shard:2 in
   (* tear the last record in half *)
-  let tear = intact.Replica.valid_bytes - 7 in
+  let tear = intact.Journal.valid_bytes - 7 in
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
   Unix.ftruncate fd tear;
   Unix.close fd;
   let torn = Replica.replay ~path ~shard:2 in
-  Alcotest.(check bool) "torn tail detected" true torn.Replica.torn;
-  Alcotest.(check int) "valid prefix survives" 2 (List.length torn.Replica.records);
+  Alcotest.(check bool) "torn tail detected" true torn.Journal.torn;
+  Alcotest.(check int) "valid prefix survives" 2 (List.length torn.Journal.records);
   (* reopening truncates back to the valid prefix and continues after it *)
   (match Replica.open_sender ~path ~shard:2 () with
   | Error e -> Alcotest.fail e
@@ -169,9 +169,9 @@ let replica_torn_tail () =
     (match Replica.flush sender with Ok _ -> () | Error e -> Alcotest.fail e);
     Replica.close sender);
   let healed = Replica.replay ~path ~shard:2 in
-  Alcotest.(check bool) "healed tail is valid" false healed.Replica.torn;
+  Alcotest.(check bool) "healed tail is valid" false healed.Journal.torn;
   Alcotest.(check (list int)) "sequence 0,1,2 after heal" [ 0; 1; 2 ]
-    (List.map fst healed.Replica.records);
+    (List.map fst healed.Journal.records);
   Sys.remove path
 
 let replica_partition_lag_heals () =
@@ -195,7 +195,7 @@ let replica_partition_lag_heals () =
     Replica.close sender);
   let r = Replica.replay ~path ~shard:0 in
   Alcotest.(check (list int)) "all records on disk in order" [ 0; 1; 2 ]
-    (List.map fst r.Replica.records);
+    (List.map fst r.Journal.records);
   Sys.remove path
 
 (* ---- fleet kill / rebuild ---- *)

@@ -21,6 +21,7 @@ let () =
     @ Test_serve.suite
     @ Test_chaos.suite
     @ Test_fleet.suite
+    @ Test_codec_golden.suite
     @ Test_calibration.suite
     @ Test_mitigation.suite
     @ Test_integration.suite
